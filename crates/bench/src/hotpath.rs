@@ -12,18 +12,18 @@
 //!   engine under a realistic mixed event population (data, ACKs, timers,
 //!   ECN queues).
 //!
-//! Each workload returns a [`HotpathRun`] whose `digest` is a
-//! line-oriented dump of everything observable about the run — event
-//! count, final clock, every link's counters, every retained trace
-//! event. The `perfgate` binary compares digests against committed
-//! golden files: an engine change that alters any event outcome, any
-//! ordering, or any RNG draw shows up as a byte diff.
+//! Each workload returns a [`HotpathRun`] whose `digest` is the engine's
+//! ordered dump ([`mtp_sim::engine_dump`]: event count, final clock,
+//! every link's counters, every retained trace event) plus a few
+//! workload-specific lines. The `perfgate` binary compares digests
+//! against committed golden files: an engine change that alters any
+//! event outcome, any ordering, or any RNG draw shows up as a byte diff.
 
 use std::fmt::Write as _;
 
 use mtp_core::{MtpConfig, MtpSenderNode, MtpSinkNode, ScheduledMsg};
 use mtp_sim::time::{Bandwidth, Duration, Time};
-use mtp_sim::{Ctx, Headers, Node, Packet, PortId, Simulator};
+use mtp_sim::{engine_dump, Ctx, Headers, Node, Packet, PortId, Simulator};
 use mtp_wire::{EntityId, MtpHeader, PktNum, PktType};
 
 use crate::topo::{leaf_spine, ls_addr, PathSpec};
@@ -46,36 +46,6 @@ fn drive(sim: &mut Simulator, until: Option<Time>) -> u64 {
         }
     }
     sim.events_processed()
-}
-
-/// Render everything observable about a finished run.
-fn digest(sim: &Simulator, events: u64) -> String {
-    let mut out = String::new();
-    writeln!(out, "events={} final_now={}", events, sim.now().0).expect("write to String");
-    for i in 0..sim.num_links() {
-        let s = sim.link_stats(mtp_sim::DirLinkId(i));
-        writeln!(
-            out,
-            "link {i}: offered={} tx={} bytes={} dropped={} marked={} trimmed={} maxq={}",
-            s.offered_pkts,
-            s.tx_pkts,
-            s.tx_bytes,
-            s.dropped_pkts,
-            s.marked_pkts,
-            s.trimmed_pkts,
-            s.max_qlen_pkts
-        )
-        .expect("write to String");
-    }
-    for (i, e) in sim.trace_events().iter().enumerate() {
-        writeln!(
-            out,
-            "trace {i}: t={} pkt={} node={} port={} kind={:?}",
-            e.time.0, e.pkt.0, e.node.0, e.port.0, e.kind
-        )
-        .expect("write to String");
-    }
-    out
 }
 
 // ---------------------------------------------------------------- timers
@@ -128,7 +98,7 @@ pub fn timer_churn(seed: u64, budget: u64) -> HotpathRun {
         cancelled_count: 0,
     }));
     let events = drive(&mut sim, None);
-    let mut d = digest(&sim, events);
+    let mut d = engine_dump(&sim);
     let node = sim.node_as::<TimerChurnNode>(n);
     writeln!(d, "fired={} cancelled={}", node.fired, node.cancelled_count)
         .expect("write to String");
@@ -217,7 +187,7 @@ pub fn wheel_stress(seed: u64, ticks: u64) -> HotpathRun {
         fired_rtos: 0,
     }));
     let events = drive(&mut sim, None);
-    let mut d = digest(&sim, events);
+    let mut d = engine_dump(&sim);
     let node = sim.node_as::<RtoChurnNode>(n);
     writeln!(
         d,
@@ -315,7 +285,7 @@ pub fn forward_chain(seed: u64, hops: usize, pkts: u32) -> HotpathRun {
     sim.connect_symmetric(prev.0, prev.1, sink, PortId(0), rate, delay, cap);
 
     let events = drive(&mut sim, None);
-    let mut d = digest(&sim, events);
+    let mut d = engine_dump(&sim);
     let s = sim.node_as::<ChainSink>(sink);
     writeln!(d, "sink pkts={} bytes={}", s.pkts, s.bytes).expect("write to String");
     HotpathRun { events, digest: d }
@@ -368,7 +338,7 @@ pub fn leafspine_incast(seed: u64) -> HotpathRun {
     ls.sim.enable_trace(4096);
 
     let events = drive(&mut ls.sim, Some(Time::ZERO + Duration::from_millis(5)));
-    let d = digest(&ls.sim, events);
+    let d = engine_dump(&ls.sim);
     HotpathRun { events, digest: d }
 }
 

@@ -1,29 +1,19 @@
-//! Shared measurement helpers for the failure/corruption studies.
+//! Measurement helpers for the failure and corruption scenarios.
 //!
-//! `fig_failover`, `fig_corruption`, and the `mtp-scenario` runner all
-//! reduce a run to the same numbers: sorted message completion times,
-//! completions inside a fault window, round-to-nearest percentiles, and
-//! the damaged-frame total across a diamond's four path links. Keeping
-//! one implementation here is what makes a scenario file's numbers
-//! byte-comparable to its figure binary's.
+//! The `mtp-scenario` runner reduces a diamond or two-path run to these
+//! numbers: the periodic workload it submits, sorted message completion
+//! times, completions inside a fault window, nearest-rank percentiles
+//! (via [`mtp_workload::percentile`]), and the damaged-frame total across
+//! a diamond's four path links.
 
 use mtp_core::ScheduledMsg;
 use mtp_faults::Diamond;
 use mtp_sim::time::{Duration, Time};
+use mtp_workload::percentile;
 
 /// `n` microseconds after the epoch.
 pub fn us(n: u64) -> Time {
     Time::ZERO + Duration::from_micros(n)
-}
-
-/// Nearest-rank percentile over an already-sorted series (`p` in 0..=1).
-/// NaN on empty input.
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
 }
 
 /// The periodic workload every failure study submits: `count` messages of
@@ -56,9 +46,9 @@ pub struct CompletionStats {
     /// Completions strictly inside the window passed to
     /// [`completion_stats`] (0 when no window was given).
     pub during_window: usize,
-    /// Nearest-rank p50 of `mct_us`.
+    /// Nearest-rank p50 of `mct_us` (0 when nothing completed).
     pub p50_us: f64,
-    /// Nearest-rank p99 of `mct_us`.
+    /// Nearest-rank p99 of `mct_us` (0 when nothing completed).
     pub p99_us: f64,
 }
 
@@ -84,8 +74,8 @@ pub fn completion_stats(
     }
     mct_us.sort_by(f64::total_cmp);
     CompletionStats {
-        p50_us: percentile(&mct_us, 0.50),
-        p99_us: percentile(&mct_us, 0.99),
+        p50_us: percentile(&mct_us, 50.0),
+        p99_us: percentile(&mct_us, 99.0),
         mct_us,
         completed,
         during_window,
@@ -95,14 +85,6 @@ pub fn completion_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let s = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(percentile(&s, 0.50), 3.0);
-        assert_eq!(percentile(&s, 0.99), 5.0);
-        assert!(percentile(&[], 0.5).is_nan());
-    }
 
     #[test]
     fn window_counting_is_strict() {

@@ -70,18 +70,21 @@ pub fn scenarios_results_dir() -> PathBuf {
     }
 }
 
+/// The exact JSON text written for a scenario result or a run report.
+pub fn to_json<T: Serialize>(value: &T) -> String {
+    serde_json::to_string_pretty(value).expect("serializable report")
+}
+
 /// Write one scenario's result to `results/scenarios/<name>.json`.
 pub fn write_scenario(dir: &Path, s: &ScenarioResult) -> PathBuf {
     let path = dir.join(format!("{}.json", s.name));
-    let json = serde_json::to_string_pretty(s).expect("serializable scenario result");
-    std::fs::write(&path, json).expect("write scenario result");
+    std::fs::write(&path, to_json(s)).expect("write scenario result");
     path
 }
 
 /// Write the collated report to `results/scenarios/report.json`.
 pub fn write_report(dir: &Path, r: &RunReport) -> PathBuf {
     let path = dir.join("report.json");
-    let json = serde_json::to_string_pretty(r).expect("serializable run report");
-    std::fs::write(&path, json).expect("write run report");
+    std::fs::write(&path, to_json(r)).expect("write run report");
     path
 }

@@ -1,15 +1,15 @@
 //! The cell engine: build, run, measure, and check one scenario ×
 //! protocol × seed cell.
 //!
-//! A cell is executed against the exact builders the figure binaries use
+//! A cell is executed against the shared topology builders
 //! ([`mtp_faults::diamond_mtp`], [`mtp_bench::topo::two_path_mtp`], …),
-//! so a scenario file that names the same parameters reproduces the same
-//! packet-level run — the golden-replay tests pin this byte-for-byte.
+//! and its engine digest is pinned in the scenario file, so any change to
+//! the packet-level run shows up as a failed `[assert.digests]` entry.
 //! Every assertion is checked non-panicking: violations come back as
 //! strings naming the assertion, never as a crash, so one broken cell
 //! cannot take down a corpus run.
 
-use mtp_bench::study::{completion_stats, corrupted_frames, percentile, us};
+use mtp_bench::study::{completion_stats, corrupted_frames, us};
 use mtp_bench::topo::{
     dumbbell, dumbbell_dst, dumbbell_src, leaf_spine, ls_addr, two_path_mtp, two_path_tcp,
 };
@@ -17,7 +17,7 @@ use mtp_core::{MtpConfig, MtpSenderNode, MtpSinkNode, ScheduledMsg};
 use mtp_faults::{diamond_mtp, diamond_tcp, Diamond, FaultDriver, FaultSchedule, Ledger, LinkSpec};
 use mtp_net::{Strategy, SwitchNode};
 use mtp_sim::time::{Bandwidth, Duration, Time};
-use mtp_sim::{DirLinkId, LinkFailMode, NodeId, Simulator};
+use mtp_sim::{engine_dump, DirLinkId, LinkFailMode, NodeId, Simulator};
 use mtp_tcp::{TcpConfig, TcpSenderNode, TcpSinkNode, TcpWorkloadMode};
 use mtp_wire::PathletId;
 use mtp_workload::{poisson_schedule, SizeDist};
@@ -50,6 +50,9 @@ pub struct CellResult {
     pub p50_us: Option<f64>,
     /// Nearest-rank p99 message completion time, microseconds.
     pub p99_us: Option<f64>,
+    /// Every completed message's completion time, sorted, microseconds
+    /// (the MCT CDF).
+    pub mct_us: Vec<f64>,
     /// Sender retransmission timeouts.
     pub timeouts: u64,
     /// Sender retransmissions.
@@ -57,23 +60,45 @@ pub struct CellResult {
     /// Mean sink goodput after `assert.warmup_bins` bins, Gbps
     /// (single-sink topologies only).
     pub goodput_mean_gbps: Option<f64>,
+    /// Per-bin sink goodput, Gbps (single-sink topologies only).
+    pub goodput_series_gbps: Option<Vec<f64>>,
+    /// Mean time from the start of each fast-path phase until goodput
+    /// first reaches 80% of the fast path's rate, microseconds
+    /// (alternating two-path cells only).
+    pub recovery_us: Option<f64>,
     /// Frames damaged in flight (diamond only).
     pub corrupted_frames: Option<u64>,
+    /// Where each damaged frame was caught (corruption-accounting cells
+    /// only).
+    pub detected: Option<Detected>,
     /// FNV-1a-64 digest of the run's observable state.
     pub digest: String,
     /// Violated assertions, empty when the cell passed.
     pub violations: Vec<String>,
 }
 
-/// One executed cell: the reportable result plus the raw exactly-once
-/// ledger (single-sender MTP cells only), which the golden-replay tests
-/// compare against the figure binaries'.
-pub struct CellRun {
-    /// The reportable result.
-    pub result: CellResult,
-    /// The captured ledger, when the topology has exactly one MTP
-    /// sender/sink pair.
-    pub ledger: Option<Ledger>,
+/// Where each damaged frame of a diamond cell was caught. The
+/// corruption-accounting identity is `sum() == corrupted_frames`.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+pub struct Detected {
+    /// Rejected by the sending endpoint.
+    pub sender: u64,
+    /// Rejected by the receiving endpoint.
+    pub sink: u64,
+    /// Rejected by the first-hop switch.
+    pub sw1: u64,
+    /// Rejected by the last-hop switch.
+    pub sw2: u64,
+    /// Recycled in-engine (queue overflow, doomed tx) before any device
+    /// could inspect them.
+    pub destroyed: u64,
+}
+
+impl Detected {
+    /// Damaged frames accounted for, wherever they were caught.
+    pub fn sum(&self) -> u64 {
+        self.sender + self.sink + self.sw1 + self.sw2 + self.destroyed
+    }
 }
 
 /// Outcome of a whole scenario: every protocol × seed cell.
@@ -94,7 +119,7 @@ pub fn run_scenario(s: &Scenario) -> ScenarioResult {
     let mut cells = Vec::new();
     for p in &s.protocols {
         for &seed in &s.seeds {
-            cells.push(execute_cell(s, *p, seed).result);
+            cells.push(execute_cell(s, *p, seed));
         }
     }
     ScenarioResult {
@@ -158,8 +183,7 @@ impl Names {
 }
 
 /// Materialize the scenario's fault specs against resolved handles. Burst
-/// seeds mix the cell seed with the spec's `seed_xor`, matching the
-/// figure binaries' `SEED ^ 0xA` idiom.
+/// seeds mix the cell seed with the spec's `seed_xor` (`seed ^ 0xA`).
 fn build_schedule(faults: &[FaultSpec], names: &Names, seed: u64) -> FaultSchedule {
     let mut sched = FaultSchedule::new();
     let mode = |m: FailMode| match m {
@@ -245,10 +269,25 @@ fn build_schedule(faults: &[FaultSpec], names: &Names, seed: u64) -> FaultSchedu
     sched
 }
 
-/// Where each damaged frame was caught, diamond cells only.
+/// Damaged frames and where they were caught, diamond cells only.
 struct CorruptionLedger {
     corrupted: u64,
-    caught: u64,
+    detected: Detected,
+}
+
+/// Capture a diamond's corruption ledger, given its endpoints' malformed
+/// counters.
+fn corruption_ledger(d: &Diamond, sender: u64, sink: u64) -> CorruptionLedger {
+    CorruptionLedger {
+        corrupted: corrupted_frames(d),
+        detected: Detected {
+            sender,
+            sink,
+            sw1: d.sim.node_as::<SwitchNode>(d.sw1).stats.malformed,
+            sw2: d.sim.node_as::<SwitchNode>(d.sw2).stats.malformed,
+            destroyed: d.sim.corrupted_destroyed(),
+        },
+    }
 }
 
 /// Everything measured from one finished cell, before assertion checking.
@@ -266,41 +305,12 @@ struct Measured {
     multi_exactly_once: Option<Vec<String>>,
 }
 
-/// The cell digest: FNV-1a-64 over [`cell_dump`]'s deterministic state.
-/// Public so the golden-replay tests can digest an inline
-/// figure-binary-style run and compare byte-for-byte.
-pub fn engine_digest(sim: &Simulator, records: &[(Time, Option<Time>)]) -> String {
-    fnv64(&cell_dump(sim, records))
-}
-
-/// The deterministic dump digested per cell: the engine-observable state
-/// (event count, clock, per-link counters — the same lines the perf-gate
-/// digests) plus every message's submit/complete picoseconds.
-fn cell_dump(sim: &Simulator, records: &[(Time, Option<Time>)]) -> String {
+/// The cell digest: FNV-1a-64 over the engine's ordered dump
+/// ([`engine_dump`], the form the perf-gate digests) plus every message's
+/// submit/complete picoseconds.
+fn cell_digest(sim: &Simulator, records: &[(Time, Option<Time>)]) -> String {
     use std::fmt::Write as _;
-    let mut out = String::new();
-    writeln!(
-        out,
-        "events={} final_now={}",
-        sim.events_processed(),
-        sim.now().0
-    )
-    .expect("write to String");
-    for i in 0..sim.num_links() {
-        let s = sim.link_stats(DirLinkId(i));
-        writeln!(
-            out,
-            "link {i}: offered={} tx={} bytes={} dropped={} marked={} trimmed={} maxq={}",
-            s.offered_pkts,
-            s.tx_pkts,
-            s.tx_bytes,
-            s.dropped_pkts,
-            s.marked_pkts,
-            s.trimmed_pkts,
-            s.max_qlen_pkts
-        )
-        .expect("write to String");
-    }
+    let mut out = engine_dump(sim);
     for (k, (submitted, done)) in records.iter().enumerate() {
         match done {
             Some(t) => writeln!(out, "msg {k}: submitted={} completed={}", submitted.0, t.0),
@@ -308,7 +318,7 @@ fn cell_dump(sim: &Simulator, records: &[(Time, Option<Time>)]) -> String {
         }
         .expect("write to String");
     }
-    out
+    fnv64(&out)
 }
 
 fn mtp_cfg(s: &Scenario) -> MtpConfig {
@@ -383,13 +393,12 @@ fn run_diamond(s: &Scenario, p: Protocol, seed: u64) -> Measured {
             let names = diamond_names(&d);
             let mut drv = FaultDriver::new(build_schedule(&s.faults, &names, seed));
             drv.run_until(&mut d.sim, horizon);
-            let corruption = s.asserts.corruption_accounting.then(|| CorruptionLedger {
-                corrupted: corrupted_frames(&d),
-                caught: d.sim.node_as::<MtpSenderNode>(d.sender).malformed
-                    + d.sim.node_as::<MtpSinkNode>(d.sink).malformed
-                    + d.sim.node_as::<SwitchNode>(d.sw1).stats.malformed
-                    + d.sim.node_as::<SwitchNode>(d.sw2).stats.malformed
-                    + d.sim.corrupted_destroyed(),
+            let corruption = s.asserts.corruption_accounting.then(|| {
+                corruption_ledger(
+                    &d,
+                    d.sim.node_as::<MtpSenderNode>(d.sender).malformed,
+                    d.sim.node_as::<MtpSinkNode>(d.sink).malformed,
+                )
             });
             let ledger = Ledger::capture(&d.sim, d.sender, d.sink);
             let snd = d.sim.node_as::<MtpSenderNode>(d.sender);
@@ -423,13 +432,12 @@ fn run_diamond(s: &Scenario, p: Protocol, seed: u64) -> Measured {
             let names = diamond_names(&d);
             let mut drv = FaultDriver::new(build_schedule(&s.faults, &names, seed));
             drv.run_until(&mut d.sim, horizon);
-            let corruption = s.asserts.corruption_accounting.then(|| CorruptionLedger {
-                corrupted: corrupted_frames(&d),
-                caught: d.sim.node_as::<TcpSenderNode>(d.sender).malformed
-                    + d.sim.node_as::<TcpSinkNode>(d.sink).malformed
-                    + d.sim.node_as::<SwitchNode>(d.sw1).stats.malformed
-                    + d.sim.node_as::<SwitchNode>(d.sw2).stats.malformed
-                    + d.sim.corrupted_destroyed(),
+            let corruption = s.asserts.corruption_accounting.then(|| {
+                corruption_ledger(
+                    &d,
+                    d.sim.node_as::<TcpSenderNode>(d.sender).malformed,
+                    d.sim.node_as::<TcpSinkNode>(d.sink).malformed,
+                )
             });
             let snd = d.sim.node_as::<TcpSenderNode>(d.sender);
             let records: Vec<_> = snd
@@ -908,9 +916,47 @@ fn check_cell_asserts(c: &CellAsserts, r: &CellResult, m: &Measured, out: &mut V
     }
 }
 
+/// Mean time from the start of each fast-path phase (after the first)
+/// until the goodput series first reaches 80% of the faster path's rate.
+/// A phase that never recovers counts as its full length. `None` unless
+/// the cell is a two-path alternation with a goodput series.
+fn recovery_us(t: &Topology, series: Option<&[f64]>) -> Option<f64> {
+    let Topology::TwoPath {
+        a,
+        b,
+        strategy: TwoPathStrategy::Alternate { period_us },
+        goodput_bin_us,
+    } = t
+    else {
+        return None;
+    };
+    let series = series?;
+    let bins_per_phase = (period_us / goodput_bin_us) as usize;
+    if bins_per_phase == 0 {
+        return None;
+    }
+    let threshold = 0.8 * a.rate_gbps.max(b.rate_gbps) as f64;
+    // Phase k routes over path `k % 2`: A first, then B.
+    let fast_parity = usize::from(b.rate_gbps > a.rate_gbps);
+    let recoveries: Vec<f64> = series
+        .chunks_exact(bins_per_phase)
+        .enumerate()
+        .skip(1)
+        .filter(|(k, _)| k % 2 == fast_parity)
+        .map(|(_, phase)| {
+            let bins = phase
+                .iter()
+                .position(|&r| r >= threshold)
+                .unwrap_or(bins_per_phase);
+            bins as f64 * *goodput_bin_us as f64
+        })
+        .collect();
+    Some(recoveries.iter().sum::<f64>() / recoveries.len().max(1) as f64)
+}
+
 /// Build, run, measure, and check one cell. Never panics on assertion
 /// failure — violations come back inside the result.
-pub fn execute_cell(s: &Scenario, p: Protocol, seed: u64) -> CellRun {
+pub fn execute_cell(s: &Scenario, p: Protocol, seed: u64) -> CellResult {
     let m = match &s.topology {
         Topology::Diamond { .. } => run_diamond(s, p, seed),
         Topology::TwoPath { .. } => run_two_path(s, p, seed),
@@ -928,7 +974,7 @@ pub fn execute_cell(s: &Scenario, p: Protocol, seed: u64) -> CellRun {
             tail.iter().sum::<f64>() / tail.len() as f64
         }
     });
-    let digest = engine_digest(&m.sim, &m.records);
+    let digest = cell_digest(&m.sim, &m.records);
 
     let mut r = CellResult {
         scenario: s.name.clone(),
@@ -939,10 +985,14 @@ pub fn execute_cell(s: &Scenario, p: Protocol, seed: u64) -> CellRun {
         during_window: s.asserts.window_us.map(|_| stats.during_window as u64),
         p50_us: (stats.completed > 0).then_some(stats.p50_us),
         p99_us: (stats.completed > 0).then_some(stats.p99_us),
+        mct_us: stats.mct_us,
         timeouts: m.timeouts,
         retransmissions: m.retransmissions,
         goodput_mean_gbps: goodput_mean,
+        recovery_us: recovery_us(&s.topology, m.goodput_series.as_deref()),
+        goodput_series_gbps: m.goodput_series.clone(),
         corrupted_frames: m.corruption.as_ref().map(|c| c.corrupted),
+        detected: m.corruption.as_ref().map(|c| c.detected),
         digest,
         violations: Vec::new(),
     };
@@ -950,10 +1000,7 @@ pub fn execute_cell(s: &Scenario, p: Protocol, seed: u64) -> CellRun {
     let mut v = Vec::new();
     check_asserts(&s.asserts, p, seed, &r, &m, &mut v);
     r.violations = v;
-    CellRun {
-        result: r,
-        ledger: m.ledger,
-    }
+    r
 }
 
 fn check_asserts(
@@ -976,10 +1023,11 @@ fn check_asserts(
     if let Some(c) = m.corruption.as_ref() {
         if c.corrupted == 0 {
             out.push("assert corruption_accounting: the storm never damaged a frame".to_string());
-        } else if c.caught != c.corrupted {
+        } else if c.detected.sum() != c.corrupted {
             out.push(format!(
                 "assert corruption_accounting: {} accounted for, {} damaged",
-                c.caught, c.corrupted
+                c.detected.sum(),
+                c.corrupted
             ));
         }
     }
@@ -992,12 +1040,6 @@ fn check_asserts(
             out.push(format!("assert digests: expected {want}, got {}", r.digest));
         }
     }
-}
-
-/// Nearest-rank percentile re-export for report consumers (the same
-/// formula the figure binaries use).
-pub fn pct(sorted: &[f64], p: f64) -> f64 {
-    percentile(sorted, p)
 }
 
 #[cfg(test)]
@@ -1040,15 +1082,42 @@ completed = 4
     fn smoke_cell_passes_and_is_deterministic() {
         let s = smoke_scenario();
         let a = execute_cell(&s, Protocol::Mtp, 3);
-        assert!(
-            a.result.violations.is_empty(),
-            "violations: {:?}",
-            a.result.violations
-        );
-        assert_eq!(a.result.completed, 4);
+        assert!(a.violations.is_empty(), "violations: {:?}", a.violations);
+        assert_eq!(a.completed, 4);
+        assert_eq!(a.mct_us.len(), 4);
         let b = execute_cell(&s, Protocol::Mtp, 3);
-        assert_eq!(a.result, b.result, "replay must be byte-identical");
-        assert_eq!(a.ledger, b.ledger);
+        assert_eq!(a, b, "replay must be byte-identical");
+    }
+
+    #[test]
+    fn recovery_tracks_the_faster_path_and_skips_unresolvable_phases() {
+        let two_path = |period_us, strategy_alternates| Topology::TwoPath {
+            a: LinkParams {
+                rate_gbps: 10,
+                delay_us: 1,
+            },
+            b: LinkParams {
+                rate_gbps: 100,
+                delay_us: 1,
+            },
+            strategy: if strategy_alternates {
+                TwoPathStrategy::Alternate { period_us }
+            } else {
+                TwoPathStrategy::Ecmp
+            },
+            goodput_bin_us: 32,
+        };
+        // Two bins per phase; B (100 Gbps) is active in odd phases, so the
+        // threshold is 80 Gbps. Phase 1 recovers after one bin, phase 3
+        // never does and counts as the full phase.
+        let series = [0.0, 0.0, 10.0, 90.0, 9.0, 9.0, 0.0, 79.9];
+        assert_eq!(
+            recovery_us(&two_path(64, true), Some(&series)),
+            Some((32.0 + 64.0) / 2.0)
+        );
+        // A phase shorter than one goodput bin cannot be resolved.
+        assert_eq!(recovery_us(&two_path(16, true), Some(&series)), None);
+        assert_eq!(recovery_us(&two_path(64, false), Some(&series)), None);
     }
 
     #[test]

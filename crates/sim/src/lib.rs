@@ -57,6 +57,7 @@
 
 pub mod audit;
 pub mod corrupt;
+pub mod digest;
 pub mod engine;
 pub mod loss;
 pub mod node;
@@ -72,6 +73,7 @@ mod wheel;
 
 pub use audit::{assert_conservation, AuditReport};
 pub use corrupt::sanitize;
+pub use digest::{digest_parts, engine_dump, monolithic_digest, render_digest, DigestParts};
 pub use engine::{pkt_id, BoundaryKind, DirLinkId, LinkCfg, LinkFailMode, LinkStats, Simulator};
 pub use loss::{stream_seed, LossyQueue, ReorderQueue};
 pub use node::{Ctx, Node, NodeAuditCounters, NodeFault, NodeId, PortId, TimerId};
@@ -82,8 +84,7 @@ pub use queue::{
 };
 pub use rtt::RttEstimator;
 pub use shard::{
-    digest_parts, monolithic_digest, render_digest, AdminDriver, AdminEvent, AdminOp,
-    BoundaryRoute, DigestParts, ShardBuildPlan, ShardPlan, ShardedSimulator,
+    AdminDriver, AdminEvent, AdminOp, BoundaryRoute, ShardBuildPlan, ShardPlan, ShardedSimulator,
 };
 pub use time::{Bandwidth, Duration, Time};
 pub use trace::{BinSeries, ScalarStats};

@@ -65,16 +65,16 @@
 //! never lost, and the audit holds mid-epoch at any barrier.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 
 use crate::audit::AuditReport;
-use crate::engine::{DirLinkId, LinkFailMode, LinkStats, Simulator};
+use crate::engine::{DirLinkId, LinkFailMode, Simulator};
 use crate::node::NodeId;
 use crate::packet::Packet;
 use crate::time::{Bandwidth, Duration, Time};
-use crate::tracefile::flight_code;
+
+pub use crate::digest::{digest_parts, monolithic_digest, render_digest, DigestParts};
 
 // ---------------------------------------------------------------------------
 // Plans
@@ -307,133 +307,6 @@ impl AdminDriver {
         }
         sim.run_until(until)
     }
-}
-
-// ---------------------------------------------------------------------------
-// Canonical digests
-// ---------------------------------------------------------------------------
-
-/// The digest-relevant content of one simulator, with ids translated to
-/// global coordinates so per-shard parts can merge.
-#[derive(Debug, Clone)]
-pub struct DigestParts {
-    /// `(global dir id, stats)` for every link whose egress state this
-    /// simulator owns (ingress half-links are skipped — their stats live
-    /// with the egress shard).
-    pub links: Vec<(usize, LinkStats)>,
-    /// Trace events as content keys:
-    /// `(time ps, global node, port, packet id, kind code)`.
-    pub trace: Vec<(u64, usize, usize, u64, u16)>,
-    /// Events processed by this simulator.
-    pub events: u64,
-    /// This simulator's clock.
-    pub now: Time,
-    /// Packets delivered to live nodes.
-    pub delivered_pkts: u64,
-    /// Wire bytes delivered to live nodes.
-    pub delivered_bytes: u64,
-    /// Packets destroyed on arrival at crashed nodes.
-    pub faulted_deliveries: u64,
-    /// Wire bytes destroyed on arrival at crashed nodes.
-    pub faulted_delivery_bytes: u64,
-    /// Corruption-damaged packets the engine destroyed.
-    pub corrupted_destroyed: u64,
-}
-
-/// Extract [`DigestParts`] from a simulator. `node_globals` and
-/// `dir_globals` map local ids to global ones (identity for a monolithic
-/// run — see [`monolithic_digest`]).
-///
-/// # Panics
-/// Panics if the trace ring wrapped: a digest over a partial trace window
-/// would silently compare incomplete records. Raise the trace cap (or
-/// disable tracing; an empty trace is a complete record of nothing).
-pub fn digest_parts(sim: &Simulator, node_globals: &[usize], dir_globals: &[usize]) -> DigestParts {
-    let mut links = Vec::new();
-    for (d, &global) in dir_globals.iter().enumerate().take(sim.num_links()) {
-        let dir = DirLinkId(d);
-        if sim.link_is_boundary_ingress(dir) {
-            continue;
-        }
-        links.push((global, *sim.link_stats(dir)));
-    }
-    let trace: Vec<_> = sim
-        .trace_events()
-        .iter()
-        .map(|e| {
-            (
-                e.time.0,
-                node_globals[e.node.0],
-                e.port.0,
-                e.pkt.0,
-                flight_code(e.kind),
-            )
-        })
-        .collect();
-    assert!(
-        sim.trace_total() == trace.len() as u64,
-        "trace ring wrapped ({} recorded, {} retained): digest would be incomplete",
-        sim.trace_total(),
-        trace.len()
-    );
-    DigestParts {
-        links,
-        trace,
-        events: sim.events_processed(),
-        now: sim.now(),
-        delivered_pkts: sim.delivered_pkts(),
-        delivered_bytes: sim.delivered_bytes(),
-        faulted_deliveries: sim.faulted_deliveries(),
-        faulted_delivery_bytes: sim.faulted_delivery_bytes(),
-        corrupted_destroyed: sim.corrupted_destroyed(),
-    }
-}
-
-/// Merge parts (one per shard, or a single monolithic part) into the
-/// canonical digest string: link stats sorted by global id, trace events
-/// sorted by content key, counters summed, clock = max. A sharded run and
-/// its monolithic twin must render byte-identically.
-pub fn render_digest(parts: Vec<DigestParts>) -> String {
-    let mut links: Vec<(usize, LinkStats)> = Vec::new();
-    let mut trace: Vec<(u64, usize, usize, u64, u16)> = Vec::new();
-    let mut events = 0u64;
-    let mut now = Time::ZERO;
-    let (mut dp, mut db, mut fd, mut fdb, mut cd) = (0u64, 0u64, 0u64, 0u64, 0u64);
-    for p in parts {
-        links.extend(p.links);
-        trace.extend(p.trace);
-        events += p.events;
-        now = now.max(p.now);
-        dp += p.delivered_pkts;
-        db += p.delivered_bytes;
-        fd += p.faulted_deliveries;
-        fdb += p.faulted_delivery_bytes;
-        cd += p.corrupted_destroyed;
-    }
-    links.sort_by_key(|&(g, _)| g);
-    trace.sort_unstable();
-    let mut out = String::new();
-    let _ = writeln!(out, "now={} events={}", now.0, events);
-    let _ = writeln!(
-        out,
-        "delivered={dp}/{db} faulted_deliveries={fd}/{fdb} corrupted_destroyed={cd}"
-    );
-    for (g, s) in &links {
-        let _ = writeln!(out, "link {g}: {s:?}");
-    }
-    let _ = writeln!(out, "trace={}", trace.len());
-    for (t, node, port, pkt, kind) in &trace {
-        let _ = writeln!(out, "{t} n{node} p{port} pkt{pkt:#x} k{kind}");
-    }
-    out
-}
-
-/// The canonical digest of a monolithic simulator (identity id maps) —
-/// the serial side of a parallel == serial comparison.
-pub fn monolithic_digest(sim: &Simulator) -> String {
-    let nodes: Vec<usize> = (0..sim.num_nodes()).collect();
-    let dirs: Vec<usize> = (0..sim.num_links()).collect();
-    render_digest(vec![digest_parts(sim, &nodes, &dirs)])
 }
 
 // ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@
 //! * [`workload`] — workload generators and FCT statistics;
 //! * [`mod@bench`] — experiment topologies and the per-figure harness.
 //!
-//! See `examples/quickstart.rs` for a five-minute tour, and the `mtp-bench`
-//! binaries (`table1`, `fig2`, `fig3`, `fig5`, `fig6`, `fig7`,
-//! `ablations`) to regenerate every table and figure of the paper.
+//! See `examples/quickstart.rs` for a five-minute tour, the `mtp-bench`
+//! binaries (`table1`, `fig2`, `fig3`, `fig6`, `fig7`, `ablations`) and
+//! the `scenarios/fig5_alternation.toml` scenario (run by `mtp-scenario`'s
+//! `scn`) to regenerate every table and figure of the paper.
 
 #![forbid(unsafe_code)]
 
