@@ -15,6 +15,8 @@
 //!   loss — the receiver NACKs immediately instead of waiting for a
 //!   timeout, NDP-style. Trimmed headers are NACKed the same way.
 
+use std::collections::VecDeque;
+
 use mtp_sim::packet::{Headers, Packet};
 use mtp_sim::time::{Duration, Time};
 use mtp_wire::{
@@ -133,9 +135,12 @@ pub struct MtpReceiverStats {
 /// Reassembly state lives in a slab indexed by an open-addressed id→slot
 /// probe map (ids arrive from many senders, so — unlike the sender's slab
 /// — slots can't be computed arithmetically). The probe map stores
-/// `slot + 1` (0 = empty) and is rebuilt from the slab on the cold
-/// [`gc_completed`](Self::gc_completed) path, which keeps the per-packet
-/// lookup a single multiply-and-probe with no tombstone handling.
+/// `slot + 1` (0 = empty) and uses linear probing with backward-shift
+/// deletion, so the per-packet lookup stays a single multiply-and-probe
+/// with no tombstone handling. With a GC linger set, completed records
+/// are collected incrementally: a completion-ordered FIFO names the next
+/// record due, and collecting it costs one backward-shift map delete
+/// plus a slab `swap_remove` — O(1) per record however many are resident.
 #[derive(Debug)]
 pub struct MtpReceiver {
     /// This host's address (used as `src_port` on ACKs).
@@ -159,8 +164,8 @@ pub struct MtpReceiver {
     /// arrive in bursts (a sender drains a window contiguously), so this
     /// answers most probes without touching the map — which, once many
     /// messages have passed through, no longer fits in cache. Validated
-    /// against the slab on every hit, so slab compaction in
-    /// [`gc_completed`](Self::gc_completed) can leave it stale safely.
+    /// against the slab on every hit, so slab compaction by either
+    /// collector can leave it stale safely.
     last_id: MsgId,
     last_slot: u32,
     /// If set, completed-message bookkeeping becomes collectable this
@@ -168,8 +173,13 @@ pub struct MtpReceiver {
     /// deadline; `None` (the default) never collects, preserving the
     /// exact behaviour sim-driven receivers have always had.
     gc_linger: Option<Duration>,
-    /// Completion time of the oldest still-resident completed message.
-    oldest_completed: Option<Time>,
+    /// With a linger set: `(completed, id)` of every resident completed
+    /// record, in completion order (completions are monotone in `now`),
+    /// so the front is the next record due for collection. Untouched —
+    /// and empty — on receivers without a linger.
+    gc_fifo: VecDeque<(Time, MsgId)>,
+    /// Records in the slab not yet completed.
+    incomplete: usize,
     /// Counters.
     pub stats: MtpReceiverStats,
 }
@@ -196,7 +206,8 @@ impl MtpReceiver {
             last_id: MsgId(0),
             last_slot: u32::MAX,
             gc_linger: None,
-            oldest_completed: None,
+            gc_fifo: VecDeque::new(),
+            incomplete: 0,
             stats: MtpReceiverStats::default(),
         }
     }
@@ -222,6 +233,15 @@ impl MtpReceiver {
     /// and [`on_poll`](Self::on_poll) performs it.
     pub fn with_gc_linger(mut self, linger: Duration) -> MtpReceiver {
         self.gc_linger = Some(linger);
+        // Records completed before the linger was configured join the
+        // collection FIFO in completion order.
+        let mut done: Vec<(Time, MsgId)> = self
+            .msgs
+            .iter()
+            .filter_map(|m| m.completed.map(|c| (c, m.id)))
+            .collect();
+        done.sort_by_key(|&(c, _)| c);
+        self.gc_fifo = done.into();
         self
     }
 
@@ -233,7 +253,7 @@ impl MtpReceiver {
     /// is configured or nothing has completed.
     pub fn poll_at(&self) -> Option<Time> {
         let linger = self.gc_linger?;
-        self.oldest_completed.map(|t| t + linger)
+        self.gc_fifo.front().map(|&(t, _)| t + linger)
     }
 
     /// Run deferred work due at `now` — currently completed-message GC —
@@ -243,18 +263,77 @@ impl MtpReceiver {
         let Some(linger) = self.gc_linger else {
             return 0;
         };
-        match self.oldest_completed {
-            // Collect every record with `completed + linger <= now`.
-            // `gc_completed` *retains* `completed >= older_than`, so the
-            // cutoff must sit one tick past the boundary or a record
-            // completed exactly at `now - linger` survives and the
-            // `poll_at()` deadline never clears (a driver sleeping on it
-            // would spin).
-            Some(t) if t + linger <= now => {
-                self.gc_completed(Time(now.0.saturating_sub(linger.0).saturating_add(1)))
+        // Collect every record with `completed + linger <= now` — the
+        // boundary is inclusive, or a record completed exactly at
+        // `now - linger` would survive and the `poll_at()` deadline would
+        // never clear (a driver sleeping on it would spin). The FIFO is
+        // completion-ordered, so the due records are exactly its prefix.
+        let mut collected = 0;
+        while let Some(&(t, id)) = self.gc_fifo.front() {
+            if t + linger > now {
+                break;
             }
-            _ => 0,
+            self.gc_fifo.pop_front();
+            collected += usize::from(self.collect(id, t));
         }
+        collected
+    }
+
+    /// Remove the record of `id` if it is resident and completed at `t`:
+    /// backward-shift delete its map entry, then `swap_remove` it from
+    /// the slab and re-point the moved record's map entry at its new
+    /// slot. With completions fed in time order every FIFO entry names a
+    /// resident record; the check only keeps out-of-order input from
+    /// collecting a re-inserted record early.
+    fn collect(&mut self, id: MsgId, t: Time) -> bool {
+        let Some(slot) = self.lookup(id) else {
+            return false;
+        };
+        if self.msgs[slot].completed != Some(t) {
+            return false;
+        }
+        let hole = self.map_pos(slot);
+        self.map_delete(hole);
+        let last = self.msgs.len() - 1;
+        if slot != last {
+            let pos = self.map_pos(last);
+            self.map[pos] = slot as u32 + 1;
+        }
+        self.msgs.swap_remove(slot);
+        true
+    }
+
+    /// The map position holding `slot`, which must be resident.
+    fn map_pos(&self, slot: usize) -> usize {
+        let mask = self.map.len() - 1;
+        let mut i = probe_start(self.msgs[slot].id.0, self.map.len());
+        while self.map[i] != slot as u32 + 1 {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// Empty map position `hole`, shifting later entries of its probe
+    /// run back so every remaining id stays reachable from its home
+    /// position without tombstones.
+    fn map_delete(&mut self, mut hole: usize) {
+        let mask = self.map.len() - 1;
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let s = self.map[j];
+            if s == 0 {
+                break;
+            }
+            let home = probe_start(self.msgs[(s - 1) as usize].id.0, self.map.len());
+            // The entry at `j` may fill the hole iff the hole lies on its
+            // probe path, i.e. cyclically within `home..=j`.
+            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
+                self.map[hole] = s;
+                hole = j;
+            }
+        }
+        self.map[hole] = 0;
     }
 
     /// The slab slot holding `id`, if present.
@@ -308,6 +387,7 @@ impl MtpReceiver {
     /// Insert a new message at the next slab slot and index it.
     fn insert(&mut self, msg: InMsg) -> usize {
         let slot = self.msgs.len();
+        self.incomplete += 1;
         self.last_id = msg.id;
         self.last_slot = slot as u32;
         self.msgs.push(msg);
@@ -336,9 +416,10 @@ impl MtpReceiver {
         std::mem::take(&mut self.events)
     }
 
-    /// Messages currently in reassembly (incomplete).
+    /// Messages currently in reassembly (incomplete). O(1): an exact
+    /// counter, not a scan of the slab.
     pub fn in_reassembly(&self) -> usize {
-        self.msgs.iter().filter(|m| m.completed.is_none()).count()
+        self.incomplete
     }
 
     /// Payload bytes held for incomplete messages. Bounded per message by
@@ -360,7 +441,11 @@ impl MtpReceiver {
         if collected > 0 {
             self.rebuild_map();
         }
-        self.oldest_completed = self.msgs.iter().filter_map(|m| m.completed).min();
+        // Keep the linger FIFO naming only resident records: what was
+        // just collected is its completion-ordered prefix.
+        while self.gc_fifo.front().is_some_and(|&(t, _)| t < older_than) {
+            self.gc_fifo.pop_front();
+        }
         collected
     }
 
@@ -444,10 +529,12 @@ impl MtpReceiver {
             }
             if msg.received == msg.len_pkts && msg.completed.is_none() {
                 msg.completed = Some(now);
-                // Completions are monotone in `now`, so the first
-                // resident one is the minimum.
-                if self.oldest_completed.is_none() {
-                    self.oldest_completed = Some(now);
+                self.incomplete -= 1;
+                if self.gc_linger.is_some() {
+                    // Completions are monotone in `now`, so appending
+                    // keeps the FIFO completion-ordered.
+                    debug_assert!(self.gc_fifo.back().is_none_or(|&(t, _)| t <= now));
+                    self.gc_fifo.push_back((now, id));
                 }
                 self.stats.msgs_delivered += 1;
                 self.buffered = self.buffered.saturating_sub(msg.len_bytes as u64);
@@ -743,6 +830,117 @@ mod tests {
         assert_eq!(ev.len(), 1);
         assert_eq!(ev[0].bytes, 777);
         assert_eq!(r.in_reassembly(), 0);
+    }
+
+    /// The collector `on_poll` used before the completion FIFO, kept as
+    /// the reference: find the oldest completion with a `min` scan and,
+    /// once it is due, `retain` over the whole slab and rebuild the map.
+    fn reference_on_poll(r: &mut MtpReceiver, linger: Duration, now: Time) -> usize {
+        match reference_oldest(r) {
+            Some(t) if t + linger <= now => {
+                let older_than = Time(now.0.saturating_sub(linger.0).saturating_add(1));
+                let before = r.msgs.len();
+                r.msgs
+                    .retain(|m| m.completed.map(|c| c >= older_than).unwrap_or(true));
+                r.rebuild_map();
+                before - r.msgs.len()
+            }
+            _ => 0,
+        }
+    }
+
+    fn reference_oldest(r: &MtpReceiver) -> Option<Time> {
+        r.msgs.iter().filter_map(|m| m.completed).min()
+    }
+
+    fn resident_ids(r: &MtpReceiver) -> Vec<u64> {
+        let mut ids: Vec<u64> = r.msgs.iter().map(|m| m.id.0).collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    proptest::proptest! {
+        /// The incremental linger collector (completion FIFO, backward-
+        /// shift map delete, slab `swap_remove`) against the `retain`-based
+        /// reference, over random data arrivals (first copies, duplicates,
+        /// late copies of collected messages), clock advances, `on_poll`
+        /// calls at arbitrary times and explicit `gc_completed` cutoffs.
+        #[test]
+        fn incremental_gc_matches_retain_reference(
+            linger_us in 1u64..400,
+            ops in proptest::collection::vec((0u8..8, 0u64..48, 0u32..300), 1..400),
+        ) {
+            let linger = Duration::from_micros(linger_us);
+            let mut fast = MtpReceiver::new(2).with_gc_linger(linger);
+            let mut slow = MtpReceiver::new(2);
+            let mut now = Time::ZERO;
+            for (op, id, v) in ops {
+                match op {
+                    // Data: packet `v % 3` of message `id` (1–3 packets).
+                    0..=4 => {
+                        let n_pkts = 1 + (id % 3) as u32;
+                        let h = data(id, v % n_pkts, n_pkts, 100);
+                        let (a, na) = fast.on_data(now, &h, EcnCodepoint::Ect0);
+                        let (b, nb) = slow.on_data(now, &h, EcnCodepoint::Ect0);
+                        proptest::prop_assert_eq!(na, nb);
+                        proptest::prop_assert_eq!(ack_of(&a), ack_of(&b));
+                        proptest::prop_assert_eq!(fast.stats.duplicates, slow.stats.duplicates);
+                    }
+                    5 => now += Duration::from_micros(v as u64),
+                    6 => {
+                        let got = fast.on_poll(now);
+                        proptest::prop_assert_eq!(got, reference_on_poll(&mut slow, linger, now));
+                        proptest::prop_assert!(
+                            fast.poll_at().is_none_or(|t| t > now),
+                            "poll_at {:?} not after now {:?}", fast.poll_at(), now
+                        );
+                    }
+                    _ => {
+                        let cutoff = Time(now.0.saturating_sub(Duration::from_micros(v as u64).0));
+                        proptest::prop_assert_eq!(fast.gc_completed(cutoff), slow.gc_completed(cutoff));
+                    }
+                }
+                proptest::prop_assert_eq!(resident_ids(&fast), resident_ids(&slow));
+                proptest::prop_assert_eq!(fast.poll_at(), reference_oldest(&slow).map(|t| t + linger));
+                for probe in 0..48 {
+                    let f = fast.lookup(MsgId(probe));
+                    proptest::prop_assert_eq!(f.is_some(), slow.lookup(MsgId(probe)).is_some());
+                    if let Some(slot) = f {
+                        proptest::prop_assert_eq!(fast.msgs[slot].id, MsgId(probe));
+                    }
+                }
+                let scan = fast.msgs.iter().filter(|m| m.completed.is_none()).count();
+                proptest::prop_assert_eq!(fast.in_reassembly(), scan);
+                proptest::prop_assert_eq!(slow.in_reassembly(), scan);
+            }
+        }
+    }
+
+    #[test]
+    fn receivers_without_linger_never_queue_for_gc() {
+        let mut r = MtpReceiver::new(2);
+        for id in 0..10 {
+            r.on_data(Time(id), &data(id, 0, 1, 100), EcnCodepoint::Ect0);
+        }
+        assert!(r.gc_fifo.is_empty());
+        assert_eq!(r.poll_at(), None);
+        assert_eq!(r.on_poll(Time(u64::MAX / 2)), 0);
+        assert_eq!(r.gc_completed(Time(5)), 5, "explicit GC still collects");
+        assert_eq!(resident_ids(&r), (5..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn late_linger_seeds_fifo_from_resident_completions() {
+        let mut r = MtpReceiver::new(2);
+        r.on_data(Time(30), &data(1, 0, 1, 100), EcnCodepoint::Ect0);
+        r.on_data(Time(40), &data(2, 0, 2, 100), EcnCodepoint::Ect0);
+        r.on_data(Time(50), &data(3, 0, 1, 100), EcnCodepoint::Ect0);
+        let mut r = r.with_gc_linger(Duration(10));
+        assert_eq!(r.poll_at(), Some(Time(40)));
+        assert_eq!(r.on_poll(Time(60)), 2);
+        assert_eq!(resident_ids(&r), vec![2]);
+        assert_eq!(r.in_reassembly(), 1);
+        assert_eq!(r.poll_at(), None);
     }
 
     #[test]

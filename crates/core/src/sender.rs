@@ -165,6 +165,10 @@ pub struct MtpSender {
     /// Message slab, indexed by `id.0 - msg_id_base`. Records are never
     /// removed, so slot resolution is arithmetic.
     msgs: Vec<OutMsg>,
+    /// Messages in the slab not yet completed: incremented on submit,
+    /// decremented where `completed` is set, so [`outstanding`]
+    /// (Self::outstanding) never scans the ever-growing slab.
+    outstanding: usize,
     /// Intrusive ready-list: head/tail slot of the FIFO of messages with
     /// unsent packets, one per priority, plus an occupancy bitmap. FIFO
     /// order within a priority is submission order (ids are monotone), so
@@ -198,7 +202,7 @@ impl std::fmt::Debug for MtpSender {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MtpSender")
             .field("addr", &self.addr)
-            .field("outstanding", &self.msgs.len())
+            .field("outstanding", &self.outstanding)
             .field("active", &self.active)
             .finish()
     }
@@ -216,6 +220,7 @@ impl MtpSender {
             entity,
             msg_id_base,
             msgs: Vec::new(),
+            outstanding: 0,
             ready_head: [NONE; 256],
             ready_tail: [NONE; 256],
             ready_bits: [0; 4],
@@ -327,13 +332,23 @@ impl MtpSender {
             completed: None,
             next_ready: NONE,
         });
+        self.outstanding += 1;
         self.ready_push(slot, pri);
         self.poll(now, out);
         id
     }
 
-    /// Outstanding (incomplete) message count.
+    /// Outstanding (incomplete) message count. O(1): an exact counter,
+    /// not a scan of the slab.
     pub fn outstanding(&self) -> usize {
+        self.outstanding
+    }
+
+    /// [`outstanding`](Self::outstanding) recomputed by scanning every
+    /// message ever submitted — the reference the counter is tested
+    /// against. O(messages submitted); not for hot paths.
+    #[doc(hidden)]
+    pub fn outstanding_by_scan(&self) -> usize {
         self.msgs.iter().filter(|m| m.completed.is_none()).count()
     }
 
@@ -607,6 +622,7 @@ impl MtpSender {
             msg.acked += 1;
             if msg.acked == msg.pkts.len() as u32 && msg.completed.is_none() {
                 msg.completed = Some(now);
+                self.outstanding -= 1;
                 self.stats.msgs_completed += 1;
                 self.events.push(SenderEvent::MsgCompleted {
                     id: s.msg,
@@ -1261,6 +1277,84 @@ mod tests {
         let mut out3 = Vec::new();
         s.on_ack(Time::ZERO + Duration::from_micros(2_000), &empty, &mut out3);
         assert_eq!(s.stats.reprobes, 1);
+    }
+
+    #[test]
+    fn outstanding_counter_survives_failover_evacuation() {
+        let check = |s: &MtpSender| assert_eq!(s.outstanding(), s.outstanding_by_scan());
+        let mut s = MtpSender::new(MtpConfig::default().with_failover(), 1, EntityId(0), 1000);
+        let mut out = Vec::new();
+        // Low-priority bulk fills the default pathlet's window; three
+        // urgent messages queue behind it.
+        s.send_message(
+            2,
+            1_000_000,
+            5,
+            TrafficClass::BEST_EFFORT,
+            Time::ZERO,
+            &mut out,
+        );
+        let urgent: Vec<MsgId> = (0..3)
+            .map(|_| s.send_message(2, 1460, 0, TrafficClass::BEST_EFFORT, Time::ZERO, &mut out))
+            .collect();
+        check(&s);
+        assert_eq!(s.outstanding(), 4);
+        // Feedback moves the active pathlet to 7; the opened window
+        // admits the urgent messages there.
+        let mut ack = ack_for(&[&out[0]]);
+        ack.ack_path_feedback = vec![PathFeedback {
+            path: PathletId(7),
+            tc: TrafficClass::BEST_EFFORT,
+            feedback: Feedback::EcnMark { ce: false },
+        }];
+        let mut on7 = Vec::new();
+        s.on_ack(Time::ZERO + Duration::from_micros(10), &ack, &mut on7);
+        check(&s);
+        assert!(urgent
+            .iter()
+            .all(|id| on7.iter().any(|p| data_hdr(p).msg_id == *id)));
+        // Two loss events on 7 quarantine it and evacuate its packets.
+        let nack_hdr = MtpHeader {
+            pkt_type: PktType::Ack,
+            nack: on7
+                .iter()
+                .map(|p| SackEntry {
+                    msg: data_hdr(p).msg_id,
+                    pkt: data_hdr(p).pkt_num,
+                })
+                .collect(),
+            ..MtpHeader::default()
+        };
+        let mut evac = Vec::new();
+        for t in [20, 30] {
+            s.on_ack(Time::ZERO + Duration::from_micros(t), &nack_hdr, &mut evac);
+            check(&s);
+        }
+        assert_eq!(s.stats.quarantines, 1);
+        assert!(s.stats.evacuated_pkts > 0);
+        assert_eq!(s.outstanding(), 4, "evacuation completes nothing");
+        // The evacuated urgent messages now complete; the bulk does not.
+        let done = MtpHeader {
+            pkt_type: PktType::Ack,
+            sack: urgent
+                .iter()
+                .map(|&msg| SackEntry {
+                    msg,
+                    pkt: PktNum(0),
+                })
+                .collect(),
+            ..MtpHeader::default()
+        };
+        let mut o = Vec::new();
+        s.on_ack(Time::ZERO + Duration::from_micros(40), &done, &mut o);
+        check(&s);
+        assert_eq!(s.outstanding(), 1);
+        assert_eq!(events(&mut s).len(), 3);
+        // Duplicate SACKs must not decrement again.
+        s.on_ack(Time::ZERO + Duration::from_micros(50), &done, &mut o);
+        check(&s);
+        assert_eq!(s.outstanding(), 1);
+        assert!(format!("{s:?}").contains("outstanding: 1"));
     }
 
     #[test]

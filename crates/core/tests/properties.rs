@@ -73,7 +73,22 @@ fn run_lossy_session(
     let mut rev = Vec::new();
     let mut out = Vec::new();
 
+    // The O(1) outstanding counter must agree with a full slab scan
+    // after every step (checked at the top of the next one).
+    let counter_exact = |s: &MtpSender, step: usize| {
+        if s.outstanding() == s.outstanding_by_scan() {
+            Ok(())
+        } else {
+            Err(format!(
+                "step {step}: outstanding() = {} but the slab holds {} incomplete",
+                s.outstanding(),
+                s.outstanding_by_scan()
+            ))
+        }
+    };
+
     for step in 0.. {
+        counter_exact(&s, step)?;
         if step > 400_000 {
             return Err(format!(
                 "session wedged: {} of {} messages complete after {step} steps",
@@ -141,6 +156,7 @@ fn run_lossy_session(
         }
     }
 
+    counter_exact(&s, usize::MAX)?;
     if s.next_deadline().is_some() {
         return Err("quiesced sender still holds a deadline".into());
     }

@@ -35,18 +35,31 @@ fn block_word(id: MsgId, block: u64) -> u64 {
 }
 
 /// Fill `buf` with the bytes of message `id` starting at byte `offset`.
+///
+/// Written a whole block word at a time: a head up to the first 8-byte
+/// boundary, aligned words, then a tail — one `block_word` per 8 bytes
+/// and no per-byte division.
 pub fn fill(id: MsgId, offset: u32, buf: &mut [u8]) {
-    // Sentinel: no real position sits in block u64::MAX (offsets are
-    // u32-bounded), so the first byte always computes its word.
-    let mut block = u64::MAX;
-    let mut word = [0u8; 8];
-    for (k, b) in buf.iter_mut().enumerate() {
-        let pos = offset as u64 + k as u64;
-        if pos / 8 != block {
-            block = pos / 8;
-            word = block_word(id, block).to_le_bytes();
-        }
-        *b = word[(pos % 8) as usize];
+    let mut block = offset as u64 / 8;
+    let skip = (offset % 8) as usize;
+    let mut rest = buf;
+    if skip != 0 && !rest.is_empty() {
+        let word = block_word(id, block).to_le_bytes();
+        let n = (8 - skip).min(rest.len());
+        let (head, tail) = rest.split_at_mut(n);
+        head.copy_from_slice(&word[skip..skip + n]);
+        rest = tail;
+        block += 1;
+    }
+    let mut words = rest.chunks_exact_mut(8);
+    for w in &mut words {
+        w.copy_from_slice(&block_word(id, block).to_le_bytes());
+        block += 1;
+    }
+    let tail = words.into_remainder();
+    if !tail.is_empty() {
+        let n = tail.len();
+        tail.copy_from_slice(&block_word(id, block).to_le_bytes()[..n]);
     }
 }
 
@@ -97,6 +110,41 @@ pub fn content_digest(msgs: &[(u64, u32, u64)]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The byte-at-a-time definition `fill` must reproduce exactly.
+    fn fill_bytewise(id: MsgId, offset: u32, buf: &mut [u8]) {
+        // Sentinel: no real position sits in block u64::MAX (offsets are
+        // u32-bounded), so the first byte always computes its word.
+        let mut block = u64::MAX;
+        let mut word = [0u8; 8];
+        for (k, b) in buf.iter_mut().enumerate() {
+            let pos = offset as u64 + k as u64;
+            if pos / 8 != block {
+                block = pos / 8;
+                word = block_word(id, block).to_le_bytes();
+            }
+            *b = word[(pos % 8) as usize];
+        }
+    }
+
+    #[test]
+    fn fill_matches_bytewise_reference() {
+        let lens = (0..=64).chain([1460, 9000]);
+        for id in [0u64, 1, 42, 0xDEAD_BEEF, (1 << 32) + 7, u64::MAX] {
+            for len in lens.clone() {
+                for base in [0u32, 1_000_000, u32::MAX - 9_015] {
+                    for rem in 0..8u32 {
+                        let off = base - base % 8 + rem;
+                        let mut want = vec![0xA5u8; len];
+                        let mut got = vec![0x5Au8; len];
+                        fill_bytewise(MsgId(id), off, &mut want);
+                        fill(MsgId(id), off, &mut got);
+                        assert_eq!(got, want, "id {id:#x} offset {off} len {len}");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn fill_is_offset_independent() {

@@ -51,7 +51,7 @@ use rand::{Rng, RngCore, SeedableRng};
 
 use crate::clock::{Clock, MonotonicClock};
 use crate::driver::IoConfig;
-use crate::frame::{append_ctrl_frame, append_frame, FrameIter, FrameKind};
+use crate::frame::{append_ctrl_frame, append_frame, FrameError, FrameIter, FrameKind};
 use crate::payload;
 use crate::socket::{wait_readable, BatchSocket};
 
@@ -315,6 +315,63 @@ fn invalid<E: std::error::Error + Send + Sync + 'static>(e: E) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e)
 }
 
+/// Data/ACK frames coalesced into datagrams per destination lane, with
+/// the datagram buffers recycled across rounds: `lanes[i]` holds this
+/// round's datagrams for lane `i` (the last one still open for more
+/// frames), and [`reset`](Coalescer::reset) returns them to one shared
+/// spare list. A round therefore allocates nothing in steady state, and
+/// the spares never outnumber the datagrams of the largest round.
+#[derive(Debug, Default)]
+struct Coalescer {
+    lanes: Vec<Vec<Vec<u8>>>,
+    spare: Vec<Vec<u8>>,
+}
+
+impl Coalescer {
+    /// Start a new round: every lane's datagrams become spares.
+    fn reset(&mut self) {
+        for lane in &mut self.lanes {
+            for mut d in lane.drain(..) {
+                d.clear();
+                self.spare.push(d);
+            }
+        }
+    }
+
+    /// Append one frame to lane `lane`, starting a new datagram when none
+    /// is open or the open one is full.
+    fn append(
+        &mut self,
+        lane: usize,
+        budget: usize,
+        hdr: &MtpHeader,
+        payload: &[u8],
+    ) -> Result<(), FrameError> {
+        if lane >= self.lanes.len() {
+            self.lanes.resize_with(lane + 1, Vec::new);
+        }
+        let lane = &mut self.lanes[lane];
+        if let Some(open) = lane.last_mut() {
+            if append_frame(open, budget, hdr, payload)? {
+                return Ok(());
+            }
+        }
+        let mut fresh = self
+            .spare
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(budget));
+        // A frame that fits the budget always fits an empty datagram.
+        append_frame(&mut fresh, budget, hdr, payload)?;
+        lane.push(fresh);
+        Ok(())
+    }
+
+    /// This round's datagrams for lane `lane`.
+    fn lane(&self, lane: usize) -> &[Vec<u8>] {
+        self.lanes.get(lane).map_or(&[], Vec::as_slice)
+    }
+}
+
 /// One sealed control frame as its own datagram. Control never shares a
 /// datagram with data: the relay (a stand-in middlebox) classifies and
 /// rewrites control datagrams by the kind byte at a fixed offset.
@@ -367,6 +424,8 @@ pub struct SenderSession {
     out_buf: Vec<Packet>,
     ev_buf: Vec<SenderEvent>,
     scratch: Vec<u8>,
+    /// Per-pathlet datagram coalescing, reused by every dispatch.
+    tx: Coalescer,
     dgrams: Vec<(Vec<u8>, SocketAddrV4)>,
     registry: Registry,
 }
@@ -413,6 +472,7 @@ impl SenderSession {
             out_buf: Vec::new(),
             ev_buf: Vec::new(),
             scratch: Vec::new(),
+            tx: Coalescer::default(),
             dgrams: Vec::new(),
             registry: Registry::new(),
         };
@@ -453,7 +513,7 @@ impl SenderSession {
             let round_ends = Instant::now() + wall(rto + jitter);
             while Instant::now() < round_ends {
                 let timeout = round_ends - Instant::now();
-                wait_readable(&[&self.socks[0]], timeout)?;
+                wait_readable([&self.socks[0]], timeout)?;
                 if self.drain_handshake()? {
                     self.state = SessionState::Established;
                     self.handshake_rounds = try_n + 1;
@@ -601,17 +661,20 @@ impl SenderSession {
     /// here), rotated by the retransmission round.
     fn route(&self, hdr: &MtpHeader) -> usize {
         let n = self.socks.len();
+        let key = hdr.msg_id.0 + self.retx_rr;
         let excluded = |p: usize| {
             hdr.path_exclude
                 .iter()
                 .any(|e| e.path == PathletId(p as u16))
         };
-        let live: Vec<usize> = (0..n).filter(|&p| !excluded(p)).collect();
-        if live.is_empty() {
+        let mut live = (0..n).filter(|&p| !excluded(p));
+        let n_live = live.clone().count();
+        if n_live == 0 {
             // Everything excluded: sending somewhere beats deadlock.
-            return ((hdr.msg_id.0 + self.retx_rr) % n as u64) as usize;
+            return (key % n as u64) as usize;
         }
-        live[((hdr.msg_id.0 + self.retx_rr) % live.len() as u64) as usize]
+        live.nth((key % n_live as u64) as usize)
+            .expect("index below the live count")
     }
 
     /// Seal, coalesce, and transmit a batch of core-emitted packets,
@@ -622,8 +685,7 @@ impl SenderSession {
         }
         let n = self.socks.len();
         let budget = self.cfg.io.datagram_budget;
-        let mut closed: Vec<Vec<Vec<u8>>> = vec![Vec::new(); n];
-        let mut open: Vec<Vec<u8>> = vec![Vec::new(); n];
+        self.tx.reset();
         let mut frames = 0u64;
         for pkt in pkts.drain(..) {
             let Headers::Mtp(hdr) = pkt.headers else {
@@ -642,31 +704,17 @@ impl SenderSession {
                     &self.scratch[..len]
                 }
             };
-            let head = &mut open[p];
-            match append_frame(head, budget, &hdr, bytes) {
-                Ok(true) => {}
-                Ok(false) => {
-                    closed[p].push(std::mem::take(head));
-                    append_frame(&mut open[p], budget, &hdr, bytes).map_err(invalid)?;
-                }
-                Err(e) => return Err(invalid(e).into()),
-            }
+            self.tx.append(p, budget, &hdr, bytes).map_err(invalid)?;
             frames += 1;
             mtp_sim::pool::recycle_header(hdr);
         }
         self.registry.count(Metric::WireFramesTx, frames);
         for p in 0..n {
-            if !open[p].is_empty() {
-                closed[p].push(std::mem::take(&mut open[p]));
-            }
-            if closed[p].is_empty() {
+            let staged = self.tx.lane(p);
+            if staged.is_empty() {
                 continue;
             }
-            let sends: Vec<(SocketAddrV4, &[u8])> = closed[p]
-                .iter()
-                .map(|d| (self.peers[p], d.as_slice()))
-                .collect();
-            let report = self.socks[p].send_batch(&sends)?;
+            let report = self.socks[p].send_all_to(self.peers[p], staged)?;
             self.registry
                 .count(Metric::WireDatagramsTx, report.datagrams as u64);
             self.registry
@@ -877,8 +925,7 @@ impl SenderSession {
         // Keepalive and idle policing need turns even in total silence.
         timeout = timeout.min(wall(self.cfg.keepalive_interval));
         if !timeout.is_zero() {
-            let socks: Vec<&BatchSocket> = self.socks.iter().collect();
-            wait_readable(&socks, timeout)?;
+            wait_readable(&self.socks, timeout)?;
         }
         Ok(())
     }
@@ -1069,6 +1116,10 @@ pub struct Listener {
     died: Option<SessionError>,
     ev_buf: Vec<MsgDelivered>,
     dgrams: Vec<(Vec<u8>, SocketAddrV4)>,
+    /// ACK coalescing for this poll round: lane `i` carries the ACKs
+    /// for `ack_dst[i]` = `(socket, peer)`, in first-use order.
+    acks: Coalescer,
+    ack_dst: Vec<(usize, SocketAddrV4)>,
     registry: Registry,
 }
 
@@ -1092,6 +1143,8 @@ impl Listener {
             died: None,
             ev_buf: Vec::new(),
             dgrams: Vec::new(),
+            acks: Coalescer::default(),
+            ack_dst: Vec::new(),
             registry: Registry::new(),
         })
     }
@@ -1378,8 +1431,9 @@ impl Listener {
 
     fn drain_data(&mut self) -> io::Result<()> {
         let mut dgrams = std::mem::take(&mut self.dgrams);
-        // Open ACK datagram per (socket, peer) this round.
-        let mut acks: Vec<(usize, SocketAddrV4, Vec<Vec<u8>>)> = Vec::new();
+        // Coalesced ACK datagrams per (socket, peer) this round.
+        self.acks.reset();
+        self.ack_dst.clear();
         for p in 0..self.socks.len() {
             dgrams.clear();
             let report = self.socks[p].recv_batch(self.cfg.io.datagram_budget + 64, &mut dgrams)?;
@@ -1388,15 +1442,13 @@ impl Listener {
             self.registry
                 .count(Metric::WireRecvBatches, report.syscalls as u64);
             for (bytes, src) in dgrams.drain(..) {
-                self.on_data_datagram(p, src, &bytes, &mut acks)?;
+                self.on_data_datagram(p, src, &bytes)?;
             }
         }
         self.dgrams = dgrams;
         // Flush coalesced ACKs back out the sockets they arrived on.
-        for (p, peer, out) in acks {
-            let sends: Vec<(SocketAddrV4, &[u8])> =
-                out.iter().map(|d| (peer, d.as_slice())).collect();
-            let report = self.socks[p].send_batch(&sends)?;
+        for (i, &(p, peer)) in self.ack_dst.iter().enumerate() {
+            let report = self.socks[p].send_all_to(peer, self.acks.lane(i))?;
             self.registry
                 .count(Metric::WireDatagramsTx, report.datagrams as u64);
             self.registry
@@ -1405,13 +1457,7 @@ impl Listener {
         Ok(())
     }
 
-    fn on_data_datagram(
-        &mut self,
-        p: usize,
-        src: SocketAddrV4,
-        bytes: &[u8],
-        acks: &mut Vec<(usize, SocketAddrV4, Vec<Vec<u8>>)>,
-    ) -> io::Result<()> {
+    fn on_data_datagram(&mut self, p: usize, src: SocketAddrV4, bytes: &[u8]) -> io::Result<()> {
         for frame in FrameIter::new(bytes) {
             let body = match frame {
                 Ok((FrameKind::Mtp, body)) => body,
@@ -1497,41 +1543,27 @@ impl Listener {
                     .or_insert_with(|| vec![0; hdr.msg_len_bytes as usize]);
                 buf[hdr.pkt_offset as usize..end as usize].copy_from_slice(data);
             }
-            self.queue_ack(p, src, ack, acks)?;
+            self.queue_ack(p, src, ack)?;
             self.drain_deliveries();
         }
         Ok(())
     }
 
-    fn queue_ack(
-        &mut self,
-        p: usize,
-        peer: SocketAddrV4,
-        ack: Packet,
-        acks: &mut Vec<(usize, SocketAddrV4, Vec<Vec<u8>>)>,
-    ) -> io::Result<()> {
+    fn queue_ack(&mut self, p: usize, peer: SocketAddrV4, ack: Packet) -> io::Result<()> {
         let Headers::Mtp(ack_hdr) = ack.headers else {
             return Ok(());
         };
         let budget = self.cfg.io.datagram_budget;
-        let pos = match acks.iter().position(|(sp, sa, _)| *sp == p && *sa == peer) {
+        let lane = match self.ack_dst.iter().position(|&d| d == (p, peer)) {
             Some(i) => i,
             None => {
-                acks.push((p, peer, vec![Vec::new()]));
-                acks.len() - 1
+                self.ack_dst.push((p, peer));
+                self.ack_dst.len() - 1
             }
         };
-        let slot = &mut acks[pos].2;
-        let open = slot.last_mut().expect("always one open datagram");
-        match append_frame(open, budget, &ack_hdr, &[]) {
-            Ok(true) => {}
-            Ok(false) => {
-                slot.push(Vec::new());
-                let open = slot.last_mut().expect("just pushed");
-                append_frame(open, budget, &ack_hdr, &[]).map_err(invalid)?;
-            }
-            Err(e) => return Err(invalid(e)),
-        }
+        self.acks
+            .append(lane, budget, &ack_hdr, &[])
+            .map_err(invalid)?;
         self.registry.count(Metric::WireFramesTx, 1);
         mtp_sim::pool::recycle_header(ack_hdr);
         Ok(())
@@ -1569,9 +1601,7 @@ impl Listener {
             }
         }
         if !timeout.is_zero() {
-            let mut socks: Vec<&BatchSocket> = self.socks.iter().collect();
-            socks.push(&self.ctrl);
-            wait_readable(&socks, timeout)?;
+            wait_readable(self.socks.iter().chain([&self.ctrl]), timeout)?;
         }
         Ok(())
     }

@@ -109,6 +109,29 @@ impl BatchSocket {
         Ok(report)
     }
 
+    /// Transmit every datagram of `dgrams` to `peer`: [`send_batch`]
+    /// (Self::send_batch) over stack-held chunks of [`sys::BATCH`], so a
+    /// caller holding owned datagram buffers builds no per-call
+    /// `(address, slice)` list. Each chunk is at most one `sendmmsg`'s
+    /// worth, so the syscalls match one `send_batch` over the whole list.
+    pub(crate) fn send_all_to(
+        &self,
+        peer: SocketAddrV4,
+        dgrams: &[Vec<u8>],
+    ) -> io::Result<SendReport> {
+        let mut report = SendReport::default();
+        for chunk in dgrams.chunks(sys::BATCH) {
+            let mut batch: [(SocketAddrV4, &[u8]); sys::BATCH] = [(peer, &[]); sys::BATCH];
+            for (slot, d) in batch.iter_mut().zip(chunk) {
+                slot.1 = d.as_slice();
+            }
+            let r = self.send_batch(&batch[..chunk.len()])?;
+            report.datagrams += r.datagrams;
+            report.syscalls += r.syscalls;
+        }
+        Ok(report)
+    }
+
     #[cfg(target_os = "linux")]
     fn send_once_mmsg(&self, dgrams: &[(SocketAddrV4, &[u8])]) -> io::Result<usize> {
         use std::os::fd::AsRawFd;
@@ -189,14 +212,18 @@ impl BatchSocket {
 
 /// Block until any of `socks` is readable or `timeout` elapses. Returns
 /// whether something is (probably) readable; spurious wakeups are fine —
-/// every caller follows with a nonblocking drain.
-pub fn wait_readable(socks: &[&BatchSocket], timeout: Duration) -> io::Result<bool> {
+/// every caller follows with a nonblocking drain. Takes any iterator of
+/// sockets (e.g. `self.socks.iter().chain([&ctrl])`) so callers build no
+/// per-wait list; the descriptors are polled from a stack array.
+pub fn wait_readable<'a>(
+    socks: impl IntoIterator<Item = &'a BatchSocket>,
+    timeout: Duration,
+) -> io::Result<bool> {
     let timeout_ms = timeout.as_millis().min(i32::MAX as u128) as i32;
     #[cfg(target_os = "linux")]
     {
         use std::os::fd::AsRawFd;
-        let fds: Vec<_> = socks.iter().map(|s| s.sock.as_raw_fd()).collect();
-        sys::poll_readable(&fds, timeout_ms)
+        sys::poll_readable(socks.into_iter().map(|s| s.sock.as_raw_fd()), timeout_ms)
     }
     #[cfg(not(target_os = "linux"))]
     {
@@ -229,7 +256,7 @@ pub fn loopback_available() -> bool {
     let deadline = std::time::Instant::now() + Duration::from_millis(500);
     let mut got = Vec::new();
     while std::time::Instant::now() < deadline {
-        let _ = wait_readable(&[&b], Duration::from_millis(10));
+        let _ = wait_readable([&b], Duration::from_millis(10));
         match b.recv_batch(1500, &mut got) {
             Ok(_) if !got.is_empty() => return got[0].0 == probe,
             Ok(_) => {}
@@ -274,7 +301,7 @@ mod tests {
             let mut got = Vec::new();
             let deadline = std::time::Instant::now() + Duration::from_secs(5);
             while got.len() < 40 && std::time::Instant::now() < deadline {
-                wait_readable(&[&b], Duration::from_millis(20)).unwrap();
+                wait_readable([&b], Duration::from_millis(20)).unwrap();
                 b.recv_batch(2048, &mut got).unwrap();
             }
             assert_eq!(got.len(), 40, "force_fallback={force_fallback}");

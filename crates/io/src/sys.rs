@@ -23,6 +23,11 @@ use std::net::SocketAddrV4;
 /// fixed arrays; the kernel caps `vlen` at `UIO_MAXIOV` (1024) anyway.
 pub const BATCH: usize = 32;
 
+/// Most descriptors [`poll_readable`] polls from a stack array; larger
+/// sets (more pathlets than any configuration here uses) spill to the
+/// heap.
+const POLL_STACK_FDS: usize = 16;
+
 /// One receive slot: a caller-owned buffer plus the length and source
 /// address the kernel filled in.
 #[derive(Debug)]
@@ -121,6 +126,7 @@ mod linux {
     }
 
     #[repr(C)]
+    #[derive(Clone, Copy)]
     struct PollFd {
         fd: i32,
         events: i16,
@@ -231,16 +237,37 @@ mod linux {
     }
 
     /// Block until any fd is readable or `timeout_ms` elapses. Returns
-    /// whether at least one fd is readable.
-    pub fn poll_readable(fds: &[RawFd], timeout_ms: i32) -> io::Result<bool> {
-        let mut pfds: Vec<PollFd> = fds
-            .iter()
-            .map(|&fd| PollFd {
-                fd,
-                events: POLLIN,
-                revents: 0,
-            })
-            .collect();
+    /// whether at least one fd is readable. Up to [`POLL_STACK_FDS`]
+    /// descriptors are polled from a stack array, so the per-wait call
+    /// does not allocate.
+    pub fn poll_readable(
+        fds: impl IntoIterator<Item = RawFd>,
+        timeout_ms: i32,
+    ) -> io::Result<bool> {
+        let pollfd = |fd| PollFd {
+            fd,
+            events: POLLIN,
+            revents: 0,
+        };
+        let mut stack = [pollfd(-1); super::POLL_STACK_FDS];
+        let mut n = 0;
+        let mut heap: Vec<PollFd> = Vec::new();
+        for fd in fds {
+            if n < stack.len() {
+                stack[n] = pollfd(fd);
+                n += 1;
+            } else {
+                if heap.is_empty() {
+                    heap.extend_from_slice(&stack);
+                }
+                heap.push(pollfd(fd));
+            }
+        }
+        let pfds: &mut [PollFd] = if heap.is_empty() {
+            &mut stack[..n]
+        } else {
+            &mut heap
+        };
         // SAFETY: `pfds` is a live, initialized slice for the duration
         // of the call.
         let rc = unsafe { poll(pfds.as_mut_ptr(), pfds.len() as u64, timeout_ms) };
@@ -283,7 +310,10 @@ mod portable {
     }
 
     /// Always `Unsupported`; callers fall back to sleeping briefly.
-    pub fn poll_readable(_fds: &[RawFd], _timeout_ms: i32) -> io::Result<bool> {
+    pub fn poll_readable(
+        _fds: impl IntoIterator<Item = RawFd>,
+        _timeout_ms: i32,
+    ) -> io::Result<bool> {
         Err(unsupported())
     }
 }
